@@ -85,8 +85,8 @@ type workload interface {
 	counts() (attempted, failed int64)
 }
 
-// setupRounds is how many times each workload is set up per run.
-var setupRounds = map[string]int{"cold-plan": 7, "routed-serve": 7, "stream-replan": 7}
+// setupRounds is how many times a workload is set up per run.
+const setupRounds = 7
 
 func newWorkload(cfg config, tr *tracer) (workload, error) {
 	switch cfg.workload {
@@ -162,18 +162,22 @@ func runBench(ctx context.Context, cfg config) (*result, error) {
 	}
 	defer w.teardown()
 
-	rounds := setupRounds[cfg.workload]
-	setups := make([]float64, 0, rounds)
-	for i := 0; i < rounds; i++ {
+	// setup_s is the CPU time of a set-up (see cpuSeconds), median of
+	// setupRounds; the wall-clock median goes to the log.
+	setups := make([]float64, 0, setupRounds)
+	setupWalls := make([]float64, 0, setupRounds)
+	for i := 0; i < setupRounds; i++ {
 		if i > 0 {
 			w.teardown()
 		}
-		start := time.Now()
+		start, cpuStart := time.Now(), cpuSeconds()
 		if err := w.setup(ctx); err != nil {
 			return nil, fmt.Errorf("setup: %w", err)
 		}
-		setups = append(setups, time.Since(start).Seconds())
+		setups = append(setups, cpuSeconds()-cpuStart)
+		setupWalls = append(setupWalls, time.Since(start).Seconds())
 	}
+	fmt.Fprintf(cfg.log, "perfbench: set-up %.4g s wall clock (median of %d)\n", median(setupWalls), setupRounds)
 
 	fmt.Fprintf(cfg.log, "perfbench: measuring %s for %v (seed %d, %d clients, trace %v)\n",
 		cfg.workload, cfg.seconds, cfg.seed, cfg.clients, cfg.trace)
@@ -210,6 +214,9 @@ func runBench(ctx context.Context, cfg config) (*result, error) {
 		if err := w.measure(ctx, cfg.seconds); err != nil {
 			return nil, err
 		}
+		// The peak before the check: set-up and the measured phase,
+		// the in-process clients included, but not the check's solves.
+		metrics["max_rss_mb"] = metric{maxRSSMB(), "MB"}
 		for k, v := range w.endToEnd() {
 			metrics[k] = v
 		}
@@ -231,9 +238,6 @@ func runBench(ctx context.Context, cfg config) (*result, error) {
 			break
 		}
 		fmt.Fprintln(cfg.log, "check:", f)
-	}
-	if !cfg.trace {
-		metrics["max_rss_mb"] = metric{maxRSSMB(), "MB"}
 	}
 	if err := checkFinite(metrics); err != nil {
 		return nil, err

@@ -168,7 +168,6 @@ func runMinima(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfbench minima", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	root := fs.String("root", ".", "repository checkout")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel enumerations")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -218,7 +217,7 @@ func runMinima(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "perfbench minima: enumerating %d instances\n", len(jobs))
 	var wg sync.WaitGroup
 	next := make(chan *job)
-	for i := 0; i < *workers; i++ {
+	for i := 0; i < runtime.NumCPU(); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -27,9 +27,9 @@ import (
 
 // endToEndNames and layerNames are the metrics each workload must report.
 var endToEndNames = map[string][]string{
-	"cold-plan":     {"cold_small_p50_ms", "cold_large_p50_ms", "cold_plans_per_s"},
-	"routed-serve":  {"read_p50_ms", "reads_per_s", "degraded_read_p50_ms", "drift_p50_ms"},
-	"stream-replan": {"tuples_per_s_serial", "tuples_per_s_parallel"},
+	"cold-plan":     {"cold_small_p50_ms", "cold_large_mean_ms", "cold_plans_per_cpu_s"},
+	"routed-serve":  {"read_p50_ms", "reads_per_cpu_s", "degraded_read_p50_ms"},
+	"stream-replan": {"tuples_per_cpu_s_serial", "tuples_per_cpu_s_parallel"},
 }
 
 var layerNames = map[string][]string{
@@ -114,6 +114,14 @@ func TestShortRuns(t *testing.T) {
 					t.Errorf("%s trace=%v: metric %s missing", wl, trace, name)
 				} else if !trace && m.Value <= 0 {
 					t.Errorf("%s: end-to-end metric %s = %v", wl, name, m.Value)
+				}
+			}
+			if wl == "cold-plan" && trace {
+				// The odd rounds' branch-and-bound instance must reach that search.
+				for _, name := range []string{"solve.nodes_expanded", "solve.graphs_evaluated"} {
+					if res.Metrics[name].Value <= 0 {
+						t.Errorf("cold-plan: %s = %v, want branch-and-bound effort", name, res.Metrics[name].Value)
+					}
 				}
 			}
 			if len(res.Metrics) != len(want) {

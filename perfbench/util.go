@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -22,6 +23,19 @@ import (
 // median returns the middle value (mean of the two middle values for an
 // even count); 0 for no values.
 func median(v []float64) float64 { return quantile(v, 0.5) }
+
+// cpuSeconds is the CPU time the process has used, user and system. The
+// benchmark runs on shared virtual machines whose CPUs the host takes
+// away for whole minutes at a time (steal); a process's CPU time does not
+// count stolen time, so throughput per CPU-second holds steady where
+// throughput per wall-clock second does not.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
+}
 
 // quantile returns the q-quantile of v by linear interpolation between
 // closest ranks; 0 for no values.
@@ -88,7 +102,6 @@ var openListeners atomic.Int64
 // loopback is an HTTP server on an ephemeral 127.0.0.1 port.
 type loopback struct {
 	URL  string
-	Addr string
 	srv  *http.Server
 	done chan struct{}
 }
@@ -100,7 +113,6 @@ func startLoopback(h http.Handler) (*loopback, error) {
 	}
 	lb := &loopback{
 		URL:  "http://" + ln.Addr().String(),
-		Addr: ln.Addr().String(),
 		srv:  &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second},
 		done: make(chan struct{}),
 	}
