@@ -27,7 +27,7 @@ import (
 
 // endToEndNames and layerNames are the metrics each workload must report.
 var endToEndNames = map[string][]string{
-	"cold-plan":     {"cold_small_p50_ms", "cold_large_mean_ms", "cold_plans_per_cpu_s"},
+	"cold-plan":     {"cold_small_cpu_ms", "cold_large_cpu_ms", "cold_plans_per_cpu_s"},
 	"routed-serve":  {"read_p50_ms", "reads_per_cpu_s", "degraded_read_p50_ms"},
 	"stream-replan": {"tuples_per_cpu_s_serial", "tuples_per_cpu_s_parallel"},
 }

@@ -168,6 +168,9 @@ func (w *streamReplan) runOnce(ctx context.Context, seed uint64, workers int, tr
 	start, cpuStart := time.Now(), cpuSeconds()
 	rep, err := ex.Run(ctx, streamTuples)
 	wall, cpu := time.Since(start), cpuSeconds()-cpuStart
+	// The check needs the run's plans, not its service: keeping every
+	// run's service alive would grow max_rss_mb with the number of runs.
+	tp.inner = nil
 	root.end()
 	w.attempted++
 	if err != nil {
@@ -190,7 +193,7 @@ func (w *streamReplan) rate(workers int) float64 { return median(w.rates[workers
 
 // endToEnd reports tuples per CPU-second; the wall-clock rates go to the
 // log only: across ten-seed sets on a shared 2-CPU host their spreads
-// reached 0.28 and 0.29, where the CPU-second rates held at 0.06.
+// reached 0.28 and 0.29, where the CPU-second rates held at 0.03-0.10.
 func (w *streamReplan) endToEnd() map[string]metric {
 	fmt.Fprintf(w.cfg.log, "stream-replan: %.4g tuples/s serial, %.4g tuples/s with %d workers, wall clock\n",
 		median(w.wallRates[1]), median(w.wallRates[w.cfg.clients]), w.cfg.clients)
