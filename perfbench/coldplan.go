@@ -336,17 +336,17 @@ func (w *coldPlan) runRound(ctx context.Context, traced bool) error {
 	return nil
 }
 
-// endToEnd reports the CPU milliseconds per small and per large plan
-// and the plans per CPU-second (see cpuSeconds). The wall-clock figures go
+// endToEnd reports the CPU milliseconds per small plan (path a) and per
+// large plan (path b) and the plans per CPU-second (see cpuSeconds). The wall-clock figures go
 // to the log only: in a period of 20% steal, the small p50 and the large
 // mean latency spread by 0.26 across ten seeds.
 func (w *coldPlan) endToEnd() map[string]metric {
 	fmt.Fprintf(w.cfg.log, "cold-plan: %.4g plans/s wall clock, small p50 %.4g ms, large p50 %.4g ms, large mean %.4g ms\n",
 		float64(w.plans)/w.busy.Seconds(), median(w.small), median(w.large), mean(w.large))
 	return map[string]metric{
-		"cold_small_cpu_ms":    {1e3 * w.smallCPU / float64(len(w.small)), "cpu-ms"},
-		"cold_large_cpu_ms":    {1e3 * w.largeCPU / float64(len(w.large)), "cpu-ms"},
-		"cold_plans_per_cpu_s": {w.headline(), "plans/cpu-s"},
+		"path_a_ms":     {1e3 * w.smallCPU / float64(len(w.small)), "ms"},
+		"path_b_ms":     {1e3 * w.largeCPU / float64(len(w.large)), "ms"},
+		"ops_per_cpu_s": {w.headline(), "ops/cpu-s"},
 	}
 }
 

@@ -44,6 +44,9 @@ type result struct {
 	Attempted int64             `json:"attempted"`
 	Failed    int64             `json:"failed"`
 	Metrics   map[string]metric `json:"metrics"`
+	// reached names the per-layer metrics the workload measured itself
+	// (the rest of layerUnits read 0).
+	reached []string
 }
 
 // config is one invocation's settings.
@@ -87,6 +90,67 @@ type workload interface {
 
 // setupRounds is how many times a workload is set up per run.
 const setupRounds = 7
+
+// Every workload reports the same metrics, the ones BENCHMARK.json lists,
+// so the metrics are defined per workload: ops_per_cpu_s counts the
+// workload's unit of work (a plan, a read, a tuple) per CPU-second, and
+// path_a_ms / path_b_ms are the cost of one operation on the workload's
+// two paths (see each workload's endToEnd and the README).
+var endToEndUnits = map[string]string{
+	"setup_s":       "s",
+	"max_rss_mb":    "MB",
+	"ops_per_cpu_s": "ops/cpu-s",
+	"path_a_ms":     "ms",
+	"path_b_ms":     "ms",
+}
+
+// layerUnits lists every per-layer metric of a traced run. A workload
+// reports those of the layers it reaches; the others read 0, since the
+// workload spends no time and makes no call there.
+var layerUnits = map[string]string{
+	"solve.self_ms":                     "ms",
+	"solve.graphs_evaluated":            "count",
+	"solve.nodes_expanded":              "count",
+	"solve.prune_ratio":                 "ratio",
+	"solve.blind_solves":                "count",
+	"orchestrate.ms":                    "ms",
+	"orchestrate.evals":                 "count",
+	"orchestrate.memo_hit_ratio":        "ratio",
+	"orchestrate.prefixes":              "count",
+	"orchestrate.orders_evaluated":      "count",
+	"orchestrate.bound_queries":         "count",
+	"orchestrate.float_certified_ratio": "ratio",
+	"eventgraph.eval_us":                "us",
+	"rat.add_ns":                        "ns",
+	"service.queue_ms":                  "ms",
+	"service.cold_overhead_ms":          "ms",
+	"service.plan_call_us":              "us",
+	"service.http_read_ms":              "ms",
+	"canon.canonicalize_us":             "us",
+	"plancache.hit_ratio":               "ratio",
+	"cluster.route_overhead_ms":         "ms",
+	"cluster.retries":                   "count",
+	"cluster.failovers":                 "count",
+	"cluster.local_served":              "count",
+	"resilience.breaker_opens":          "count",
+	"service.drift_solve_ms":            "ms",
+	"service.drift_warm_starts":         "count",
+	"store.puts":                        "count",
+	"gossip.rounds":                     "count",
+	"gossip.sync_bytes":                 "bytes",
+	"exec.planner_ms":                   "ms",
+	"exec.planner_calls":                "count",
+	"exec.datapath_ms":                  "ms",
+	"exec.swaps":                        "count",
+	"sim.verdict_ns":                    "ns",
+	"runtime.alloc_mb":                  "MB",
+	"trace.overhead_pct":                "%",
+	"trace.spans":                       "count",
+}
+
+// workloadNames are the workloads newWorkload knows, in BENCHMARK.json's
+// order.
+var workloadNames = []string{"cold-plan", "routed-serve", "stream-replan"}
 
 func newWorkload(cfg config, tr *tracer) (workload, error) {
 	switch cfg.workload {
@@ -182,6 +246,7 @@ func runBench(ctx context.Context, cfg config) (*result, error) {
 	fmt.Fprintf(cfg.log, "perfbench: measuring %s for %v (seed %d, %d clients, trace %v)\n",
 		cfg.workload, cfg.seconds, cfg.seed, cfg.clients, cfg.trace)
 	metrics := map[string]metric{}
+	var reached []string
 	if cfg.trace {
 		// Untraced half, then the traced half: the difference in the
 		// headline throughput is the tracing overhead.
@@ -207,6 +272,15 @@ func runBench(ctx context.Context, cfg config) (*result, error) {
 		}
 		metrics["trace.overhead_pct"] = metric{(untraced/traced - 1) * 100, "%"}
 		metrics["trace.spans"] = metric{float64(tr.len()), "count"}
+		for k := range metrics {
+			reached = append(reached, k)
+		}
+		sort.Strings(reached)
+		for k, unit := range layerUnits {
+			if _, ok := metrics[k]; !ok {
+				metrics[k] = metric{0, unit}
+			}
+		}
 		if err := tr.write(cfg, cfg.log); err != nil {
 			return nil, err
 		}
@@ -248,6 +322,7 @@ func runBench(ctx context.Context, cfg config) (*result, error) {
 		Attempted: attempted,
 		Failed:    failed,
 		Metrics:   metrics,
+		reached:   reached,
 	}, nil
 }
 

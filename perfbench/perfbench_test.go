@@ -11,11 +11,14 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -25,13 +28,7 @@ import (
 	"repro/internal/rat"
 )
 
-// endToEndNames and layerNames are the metrics each workload must report.
-var endToEndNames = map[string][]string{
-	"cold-plan":     {"cold_small_cpu_ms", "cold_large_cpu_ms", "cold_plans_per_cpu_s"},
-	"routed-serve":  {"read_p50_ms", "reads_per_cpu_s", "degraded_read_p50_ms"},
-	"stream-replan": {"tuples_per_cpu_s_serial", "tuples_per_cpu_s_parallel"},
-}
-
+// layerNames are the per-layer metrics each workload measures itself.
 var layerNames = map[string][]string{
 	"cold-plan": {"solve.self_ms", "solve.graphs_evaluated", "solve.nodes_expanded", "solve.prune_ratio",
 		"solve.blind_solves", "orchestrate.ms", "orchestrate.evals", "orchestrate.memo_hit_ratio",
@@ -98,20 +95,24 @@ func requireClean(t *testing.T, tmp string, goroutines int) {
 }
 
 func TestShortRuns(t *testing.T) {
-	for _, wl := range []string{"cold-plan", "routed-serve", "stream-replan"} {
+	for _, wl := range workloadNames {
 		for _, trace := range []bool{false, true} {
 			res := runClean(t, testConfig(t, wl, trace))
 			if !res.Correct || res.Failed != 0 || res.Attempted == 0 {
 				t.Fatalf("%s trace=%v: correct=%v attempted=%d failed=%d", wl, trace, res.Correct, res.Attempted, res.Failed)
 			}
-			want := append([]string{"setup_s", "max_rss_mb"}, endToEndNames[wl]...)
+			want := endToEndUnits
 			if trace {
-				want = append([]string{"runtime.alloc_mb", "trace.overhead_pct", "trace.spans"}, layerNames[wl]...)
+				want = layerUnits
+				if got, own := strings.Join(res.reached, " "), strings.Join(sorted(append(
+					[]string{"runtime.alloc_mb", "trace.overhead_pct", "trace.spans"}, layerNames[wl]...)), " "); got != own {
+					t.Errorf("%s: measured per-layer metrics\n  %s\nwant\n  %s", wl, got, own)
+				}
 			}
-			for _, name := range want {
+			for name, unit := range want {
 				m, ok := res.Metrics[name]
-				if !ok {
-					t.Errorf("%s trace=%v: metric %s missing", wl, trace, name)
+				if !ok || m.Unit != unit {
+					t.Errorf("%s trace=%v: metric %s = %+v, want unit %s", wl, trace, name, m, unit)
 				} else if !trace && m.Value <= 0 {
 					t.Errorf("%s: end-to-end metric %s = %v", wl, name, m.Value)
 				}
@@ -129,6 +130,49 @@ func TestShortRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestManifest requires the metrics every workload prints to be those of
+// BENCHMARK.json, with the same units, and its workloads to be those the
+// benchmark runs.
+func TestManifest(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name, Unit string } `json:"end_to_end"`
+		PerLayer  []struct{ Name, Unit string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind  string
+		want  map[string]string
+		names []struct{ Name, Unit string }
+	}{{"end_to_end", endToEndUnits, m.EndToEnd}, {"per_layer", layerUnits, m.PerLayer}} {
+		got := map[string]string{}
+		for _, n := range c.names {
+			got[n.Name] = n.Unit
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s in BENCHMARK.json:\n  %v\nthe benchmark prints:\n  %v", c.kind, got, c.want)
+		}
+	}
+	var names []string
+	for _, w := range m.Workloads {
+		names = append(names, w.Name)
+	}
+	if strings.Join(names, " ") != strings.Join(workloadNames, " ") {
+		t.Errorf("workloads in BENCHMARK.json %v, the benchmark runs %v", names, workloadNames)
+	}
+}
+
+func sorted(v []string) []string {
+	sort.Strings(v)
+	return v
 }
 
 // corrupted runs a workload, lets corrupt alter one answer before the

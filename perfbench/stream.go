@@ -102,9 +102,11 @@ type streamReplan struct {
 
 	round int
 
-	// Tuples per CPU-second and per wall-clock second of each run, by
-	// worker count, current phase.
-	rates, wallRates map[int][]float64
+	// Tuples per CPU-second, per wall-clock second and CPU milliseconds
+	// of each run, by worker count, current phase; and the phase's tuples
+	// and CPU seconds over every run.
+	rates, wallRates, cpuMS map[int][]float64
+	tuples, cpu             float64
 
 	runs      []streamRun
 	errs      []string
@@ -141,7 +143,8 @@ func newLocal(srv *service.Server) *exec.Local {
 }
 
 func (w *streamReplan) measure(ctx context.Context, d time.Duration) error {
-	w.rates, w.wallRates = map[int][]float64{}, map[int][]float64{}
+	w.rates, w.wallRates, w.cpuMS = map[int][]float64{}, map[int][]float64{}, map[int][]float64{}
+	w.tuples, w.cpu = 0, 0
 	traced := w.tr.on.Load()
 	start := time.Now()
 	for time.Since(start) < d && ctx.Err() == nil {
@@ -183,6 +186,9 @@ func (w *streamReplan) runOnce(ctx context.Context, seed uint64, workers int, tr
 	}
 	w.rates[workers] = append(w.rates[workers], float64(rep.Tuples)/cpu)
 	w.wallRates[workers] = append(w.wallRates[workers], float64(rep.Tuples)/wall.Seconds())
+	w.cpuMS[workers] = append(w.cpuMS[workers], 1e3*cpu)
+	w.tuples += float64(rep.Tuples)
+	w.cpu += cpu
 	w.runs = append(w.runs, streamRun{workers: workers, seed: seed, report: rep, planner: tp, traced: traced})
 	return nil
 }
@@ -191,15 +197,19 @@ func (w *streamReplan) runOnce(ctx context.Context, seed uint64, workers int, tr
 // phase's runs with this many workers.
 func (w *streamReplan) rate(workers int) float64 { return median(w.rates[workers]) }
 
-// endToEnd reports tuples per CPU-second; the wall-clock rates go to the
-// log only: across ten-seed sets on a shared 2-CPU host their spreads
-// reached 0.28 and 0.29, where the CPU-second rates held at 0.03-0.10.
+// endToEnd reports the median CPU milliseconds of a serial run (path a)
+// and of a run with Workers = clients (path b), each of streamTuples
+// tuples, and the tuples per CPU-second over every run. The wall-clock
+// rates go to the log only: across ten-seed sets on a shared 2-CPU host
+// their spreads reached 0.28 and 0.29, where the CPU-second rates held at
+// 0.03-0.10.
 func (w *streamReplan) endToEnd() map[string]metric {
 	fmt.Fprintf(w.cfg.log, "stream-replan: %.4g tuples/s serial, %.4g tuples/s with %d workers, wall clock\n",
 		median(w.wallRates[1]), median(w.wallRates[w.cfg.clients]), w.cfg.clients)
 	return map[string]metric{
-		"tuples_per_cpu_s_serial":   {w.rate(1), "tuples/cpu-s"},
-		"tuples_per_cpu_s_parallel": {w.rate(w.cfg.clients), "tuples/cpu-s"},
+		"path_a_ms":     {median(w.cpuMS[1]), "ms"},
+		"path_b_ms":     {median(w.cpuMS[w.cfg.clients]), "ms"},
+		"ops_per_cpu_s": {w.tuples / w.cpu, "ops/cpu-s"},
 	}
 }
 
